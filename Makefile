@@ -3,12 +3,12 @@
 
 GO ?= go
 
-.PHONY: verify build test race vet lint-walltime cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
+.PHONY: verify build test race vet lint-walltime bench-build bench-selftest cover fuzz-smoke bench-obs bench-profilestore bench-journal bench-cluster bench-hotpath
 
-# verify is the tier-1 gate: vet + the walltime lint + build + full
-# test suite + the race runs that give the concurrency and
-# fault-injection tests their teeth.
-verify: vet lint-walltime build test race
+# verify is the tier-1 gate: vet + the walltime lint + build (the
+# fleet benchmark module included) + full test suite + the race runs
+# that give the concurrency and fault-injection tests their teeth.
+verify: vet lint-walltime build bench-build test race
 
 vet:
 	$(GO) vet ./...
@@ -35,16 +35,30 @@ lint-walltime:
 build:
 	$(GO) build ./...
 
+# fleetbench is its own module (replace vihot => ../), so `go build
+# ./...` never compiles it; vet and build it here so a change under
+# internal/ cannot break the benchmark unnoticed. The binary goes to a
+# temporary directory, never into the tree.
+bench-build:
+	GOWORK=off $(GO) -C fleetbench vet .
+	@out=`mktemp -d`; trap 'rm -rf "$$out"' EXIT; \
+		GOWORK=off $(GO) -C fleetbench build -o "$$out/fleetbench" . && echo "bench-build: ok"
+
+# Short end-to-end pass of the fleet benchmark: every workload runs
+# briefly with all its correctness checks.
+bench-selftest:
+	bash fleetbench/run.sh --selftest
+
 test:
 	$(GO) test ./...
 
 # The serving engine's stress/soak tests, the fault injector (now
 # including the crash-recovery soak), the metrics registry (scraped
 # concurrently with the hot path), the profile store's cold-key
-# storms and per-policy invalidate-vs-inflight-load races, the
-# scenario generator's concurrent replay, the write-behind journal's
-# concurrent appenders, and the cluster's partition/failover chaos
-# soak only mean something under the race detector.
+# storms and invalidate-vs-inflight-load races, the scenario
+# generator's concurrent replay, the write-behind journal's concurrent
+# appenders, and the cluster's partition/failover chaos soak only mean
+# something under the race detector.
 race:
 	$(GO) test -race ./internal/serve ./internal/faults ./internal/obs ./internal/profilestore ./internal/scenario ./internal/journal ./internal/cluster
 
@@ -80,10 +94,9 @@ bench-profilestore:
 bench-journal:
 	$(GO) run ./cmd/vihot-bench -journaljson BENCH_journal.json
 
-# Serving hot-path benchmark: the session-manager scaling matrix plus
-# the multi-core ingest grid (GOMAXPROCS × shards × sessions through
-# SPSC producer lanes), with per-cell match-stage p95 and the
-# runtime's mutex-wait contention proxy (DESIGN.md §16).
+# Serving hot-path benchmark: the session-manager shards × sessions
+# scaling matrix through PushBatch, plus the pooled-ingest allocation
+# comparison (DESIGN.md §11, §16).
 bench-hotpath:
 	$(GO) run ./cmd/vihot-bench -servejson BENCH_serve.json
 

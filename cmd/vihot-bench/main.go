@@ -45,9 +45,7 @@ func main() {
 	obsJSON := flag.String("obsjson", "", "run the observability overhead benchmark (serve throughput with obs off vs on) and write JSON to this path (skips the figure benches)")
 	journalJSON := flag.String("journaljson", "", "run the durable-journal overhead benchmark (serve throughput with journaling off vs group-commit vs fsync-per-record) and write JSON to this path (skips the figure benches)")
 	clusterJSON := flag.String("clusterjson", "", "run the cluster routing benchmark (direct vs 1-node vs 4-node throughput, drain-handoff latency) and write JSON to this path (skips the figure benches)")
-	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention, policy churn grid) and write JSON to this path (skips the figure benches)")
-	profilePolicy := flag.String("profile-policy", "all", "churn-grid eviction policies for -profilejson: \"all\" or a comma list of lru,lfu,2q")
-	profileAdmission := flag.String("profile-admission", "both", "churn-grid doorkeeper axis for -profilejson: both, on, or off")
+	profileJSON := flag.String("profilejson", "", "run the profile-store benchmark (cold load, hot hit, 64-way contention) and write JSON to this path (skips the figure benches)")
 	scenarios := flag.String("scenarios", "", "replay a weighted scenario mix through the session manager: \"all\" or \"name:weight,...\" (skips the figure benches)")
 	scenarioSessions := flag.Int("scenario-sessions", 8, "total session count for -scenarios, apportioned across the mix by weight")
 	scenarioSeconds := flag.Float64("scenario-seconds", 0, "override every -scenarios scenario's duration (0 = corpus defaults)")
@@ -66,7 +64,7 @@ func main() {
 	}
 
 	if *profileJSON != "" {
-		if err := runProfileBench(*profileJSON, *seed, *profilePolicy, *profileAdmission); err != nil {
+		if err := runProfileBench(*profileJSON, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -175,7 +173,6 @@ type serveBaseline struct {
 	FramesPer    int                 `json:"frames_per_session"`
 	Note         string              `json:"note,omitempty"`
 	Results      []serveBenchCell    `json:"results"`
-	Multicore    []multicoreCell     `json:"multicore,omitempty"`
 	PooledIngest *pooledIngestResult `json:"pooled_ingest,omitempty"`
 }
 
@@ -235,7 +232,7 @@ func runServeBench(path string, seed int64) error {
 		FramesPer:  len(phases),
 	}
 	if base.NumCPU <= 1 {
-		base.Note = "single-CPU host: shard scaling cannot improve wall clock here; frames/s is a per-core throughput baseline, and the multicore grid's GOMAXPROCS axis records scheduler pressure, not parallelism"
+		base.Note = "single-CPU host: shard scaling cannot improve wall clock here; frames/s is a per-core throughput baseline"
 	}
 	for _, shards := range []int{1, 4, 16} {
 		for _, sessions := range []int{1, 16, 128} {
@@ -271,11 +268,6 @@ func runServeBench(path string, seed int64) error {
 				shards, sessions, cell.FramesPerS, cell.Estimates, cell.Dropped)
 		}
 	}
-	mc, err := runMulticoreGrid(profile, phases)
-	if err != nil {
-		return err
-	}
-	base.Multicore = mc
 	pi, err := runPooledIngest(env, profile)
 	if err != nil {
 		return err

@@ -8,37 +8,21 @@ import (
 )
 
 // BenchmarkStoreHotHit is the acceptance benchmark for the hot path:
-// a cache hit must be allocation-free under every policy (one shard
-// lock, one map probe, one intrusive splice/bump, one atomic add).
+// a cache hit must be allocation-free (one shard lock, one map probe,
+// one intrusive splice, one atomic add).
 func BenchmarkStoreHotHit(b *testing.B) {
-	for _, pol := range allPolicies {
-		b.Run(pol.String(), func(b *testing.B) {
-			cl := &countingLoader{t: b}
-			s := New(Config{Policy: pol, Loader: cl})
-			if _, err := s.Get("hot"); err != nil {
-				b.Fatal(err)
-			}
-			if pol == Policy2Q {
-				// Promote past probation so the hit path exercises the
-				// protected queue's splice, not the FIFO no-op.
-				for i := 0; i < 8; i++ {
-					if _, err := s.Get(fmt.Sprintf("churn-%d", i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := s.Get("hot"); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, err := s.Get("hot")
-				if err != nil || p == nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	cl := &countingLoader{t: b}
+	s := New(Config{Loader: cl})
+	if _, err := s.Get("hot"); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p, err := s.Get("hot")
+		if err != nil || p == nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"vihot/internal/core"
@@ -118,7 +117,7 @@ func (m *Manager) RestoreSession(id string, profile *core.Profile, cfg core.Pipe
 	if err != nil {
 		return fmt.Errorf("serve: restore %q: %w", id, err)
 	}
-	s := &session{id: id, pl: pl, mirror: m.cfg.Journal != nil}
+	s := &session{id: id, pl: pl}
 	if snap.Flags&journal.ExportHasEstimate != 0 {
 		s.lastEst = core.Estimate{
 			Time:      snap.EstT,
@@ -132,9 +131,6 @@ func (m *Manager) RestoreSession(id string, profile *core.Profile, cfg core.Pipe
 	coast := false
 	if snap.Flags&journal.ExportHasClock != 0 {
 		s.now, s.haveNow = snap.T, true
-		if s.mirror {
-			s.clockBits.Store(math.Float64bits(snap.T))
-		}
 		if !m.cfg.Health.Disable {
 			// Anchor a synthetic last-CSI time inside the coasting band
 			// (see restoreCSIGapFrac) so targetHealth computes COASTING

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"math"
-
 	"vihot/internal/core"
 	"vihot/internal/journal"
 )
@@ -11,10 +9,10 @@ import (
 // record per estimate delivered, per health transition, per idle-TTL
 // reap, and per explicit CloseSession. Appends happen on the same
 // goroutines as the sinks they ride along with (worker goroutines for
-// estimates/health/reaps, the caller for closes) and never block: the
-// journal's write-behind queue absorbs them, and an overflow sheds
-// the record — counted here in JournalDropped, so the serving books
-// extend to durability:
+// estimates/health/reaps; the caller or the worker for closes, see
+// CloseSession) and never block: the journal's write-behind queue
+// absorbs them, and an overflow sheds the record — counted here in
+// JournalDropped, so the serving books extend to durability:
 //
 //	JournalAppended + JournalDropped ==
 //	    Estimates + ToDegraded + ToCoasting + ToStale + Recoveries +
@@ -77,9 +75,8 @@ func (m *Manager) journalReap(id string, t float64) {
 }
 
 // journalClose records one explicit CloseSession with the session's
-// last clock and health. The caller goroutine races the shard worker
-// here, which is why the session mirrors both into atomics when
-// journaling is on.
+// last clock and health. Caller holds the session's shard mutex, and
+// the worker holds no chunk for the session, so its clock is settled.
 func (m *Manager) journalClose(s *session) {
 	if m.cfg.Journal == nil {
 		return
@@ -87,7 +84,7 @@ func (m *Manager) journalClose(s *session) {
 	m.journalAppend(journal.Record{
 		Kind:    journal.KindClose,
 		Session: s.id,
-		T:       math.Float64frombits(s.clockBits.Load()),
+		T:       s.now,
 		Health:  uint8(s.health.Load()),
 	})
 }

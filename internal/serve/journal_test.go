@@ -2,7 +2,10 @@ package serve
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"math"
+	"sync"
 	"testing"
 
 	"vihot/internal/core"
@@ -123,8 +126,7 @@ func TestJournalConservationAndRecovery(t *testing.T) {
 }
 
 // TestJournalCloseRecordCarriesState pins the close record's payload:
-// the session's last admitted clock and final health, read through
-// the atomic mirrors CloseSession relies on.
+// the session's last admitted clock and final health.
 func TestJournalCloseRecordCarriesState(t *testing.T) {
 	var buf bytes.Buffer
 	jw, err := journal.New(journal.Config{W: &buf})
@@ -158,5 +160,89 @@ func TestJournalCloseRecordCarriesState(t *testing.T) {
 	}
 	if Health(s.Health) != h {
 		t.Errorf("close record health = %v, live %v", Health(s.Health), h)
+	}
+}
+
+// TestJournalCloseFollowsEstimates: a session closed while its shard
+// worker is mid-chunk must not have estimates journaled after its
+// close record — recovery would read the session as reopened. The
+// OnEstimate sink parks the worker on the session's first estimate,
+// with the rest of the chunk (more estimates for the same session)
+// still in hand, while CloseSession runs.
+func TestJournalCloseFollowsEstimates(t *testing.T) {
+	var buf bytes.Buffer
+	jw, err := journal.New(journal.Config{W: &buf, QueueLen: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	m := New(Config{
+		Shards:  1,
+		Journal: jw,
+		OnEstimate: func(string, core.Estimate) {
+			once.Do(func() {
+				close(entered)
+				<-release
+			})
+		},
+	})
+	if err := m.Open("car", testProfile(t), core.DefaultPipelineConfig()); err != nil {
+		t.Fatal(err)
+	}
+	items := make([]Item, 2000)
+	for i := range items {
+		ts := float64(i) * 0.002
+		items[i] = Item{Session: "car", Kind: KindPhase, Time: ts, Phi: math.Sin(ts * 6)}
+	}
+	m.PushBatch(items)
+	<-entered
+	if err := m.CloseSession("car"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	m.CloseDrain()
+	if err := jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := journal.NewReader(bytes.NewReader(buf.Bytes()))
+	closed, closes, after := false, 0, 0
+	for {
+		rec, err := r.Next()
+		if errors.Is(err, io.EOF) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case rec.Kind == journal.KindClose && rec.Session == "car":
+			closed = true
+			closes++
+		case rec.Kind == journal.KindEstimate && rec.Session == "car" && closed:
+			after++
+		}
+	}
+	if closes != 1 {
+		t.Fatalf("close records = %d, want 1", closes)
+	}
+	if after != 0 {
+		t.Errorf("%d estimate records journaled after the close record", after)
+	}
+	snap := m.Counters().Snapshot()
+	events := snap.Estimates + snap.ToDegraded + snap.ToCoasting + snap.ToStale +
+		snap.Recoveries + snap.SessionsReaped + snap.SessionsClosed
+	if snap.JournalAppended+snap.JournalDropped != events {
+		t.Errorf("journal books broken: appended %d + dropped %d != events %d",
+			snap.JournalAppended, snap.JournalDropped, events)
+	}
+	res, err := journal.Recover(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Sessions["car"]; st == nil || !st.Closed {
+		t.Errorf("recovered state = %+v, want closed", st)
 	}
 }

@@ -220,12 +220,13 @@ func TestRejectedKindTable(t *testing.T) {
 	}
 }
 
-// TestOpenCloseRace races session opens against Close: every Open
-// must either fully register (and be purged by Close, keeping the
-// count consistent) or be refused with ErrClosed — under -race this
-// also proves the registration/purge locking. Regression for the seed
-// bug where Open could register onto an already-closed shard whose
-// worker had exited.
+// TestOpenCloseRace races session opens and pushes against Close:
+// every Open must either fully register (and be purged by Close,
+// keeping the count consistent) or be refused with ErrClosed, and
+// every pushed item is processed, abandoned, or refused — under -race
+// this also proves the registration/purge locking. Regression for the
+// seed bug where Open could register onto an already-closed shard
+// whose worker had exited.
 func TestOpenCloseRace(t *testing.T) {
 	f := getFixture(t)
 	for round := 0; round < 8; round++ {
@@ -244,6 +245,7 @@ func TestOpenCloseRace(t *testing.T) {
 						t.Errorf("Open(%s) = %v", id, err)
 					}
 					m.Push(serve.Item{Session: id, Kind: serve.KindPhase, Time: 1, Phi: 0})
+					m.PushBatch(phaseItems(id, 2, 8))
 				}
 			}(g)
 		}

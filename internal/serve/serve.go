@@ -27,18 +27,6 @@
 // in Counters.DroppedStale. CSI at 500 Hz is redundant; a tracker
 // absorbs gaps the same way it absorbs CSMA jitter.
 //
-// Multi-core ingest: Push/PushBatch serialize all pushers on each
-// shard's mutex, which is fine for one receive loop but caps scaling
-// when many cores feed the same manager. NewProducer returns a
-// per-goroutine lock-free lane — one single-producer/single-consumer
-// ring per shard, drained by the same shard worker alongside the
-// mutex ring — whose enqueue is a couple of atomic operations and
-// whose worker wakeups are batched (at most one per shard per batch,
-// and only when the worker is actually about to sleep). A full
-// producer ring drops the new item rather than the oldest (the
-// consumer owns the other end); the accounting identity is unchanged.
-// See the Producer type and the memory-model note in spsc.go.
-//
 // The OnEstimate sink is invoked from worker goroutines: serially for
 // any one session, concurrently across sessions on different shards.
 // It must therefore be safe for concurrent use keyed by session.
@@ -362,14 +350,6 @@ type session struct {
 	// health mirrors h for lock-free Manager.Health reads.
 	health atomic.Uint32
 
-	// clockBits mirrors now (as math.Float64bits) for the journal's
-	// close records, which are written from the CloseSession caller
-	// while the shard worker may still be advancing the clock. The
-	// mirror is maintained only when mirror is set (journaling on), so
-	// the uninstrumented hot path pays nothing for it.
-	clockBits atomic.Uint64
-	mirror    bool
-
 	h       Health
 	now     float64 // session clock: max admitted item timestamp
 	haveNow bool
@@ -407,17 +387,11 @@ type shard struct {
 	closed bool
 	busy   bool // worker is processing a drained chunk
 
-	// sleeping is the worker's half of the Dekker wake handshake with
-	// lock-free Producers: set (under mu) before the worker reads the
-	// SPSC tails and cleared when it picks up work, so a producer that
-	// published an item the worker missed is guaranteed to observe the
-	// flag and broadcast. See the protocol note atop spsc.go.
-	sleeping atomic.Bool
-
-	// prings are the registered single-producer ingest rings. Appends
-	// happen under mu (NewProducer); the worker snapshots the slice
-	// under mu each drain cycle and reads the rings lock-free.
-	prings []*spscRing
+	// closing holds sessions CloseSession removed while the worker was
+	// busy: their close records wait for the worker's next acquisition
+	// of mu, after every estimate of the chunk in hand has been
+	// journaled. See CloseSession.
+	closing []*session
 
 	// recycle mirrors Config.RecycleFrames so enqueue can release the
 	// frames of items it sheds without reaching back to the Manager.
@@ -597,7 +571,7 @@ func (m *Manager) Open(id string, profile *core.Profile, cfg core.PipelineConfig
 	if err != nil {
 		return fmt.Errorf("serve: open %q: %w", id, err)
 	}
-	return m.adopt(&session{id: id, pl: pl, mirror: m.cfg.Journal != nil})
+	return m.adopt(&session{id: id, pl: pl})
 }
 
 // adopt registers a fully built session with its shard. It is the
@@ -730,23 +704,35 @@ func (m *Manager) Profile(id string) (*core.Profile, bool) {
 // CloseSession removes a session. Items still queued for it are
 // discarded as they drain (counted in DroppedUnknown, their pooled
 // frames released when Config.RecycleFrames is set).
+//
+// The journal's close record must follow every estimate the session
+// emitted, but a busy worker may still be delivering estimates from a
+// chunk it resolved before the removal. So while the worker is busy
+// the session is queued on the shard and the worker appends its close
+// record at its next acquisition of the shard mutex — after the chunk
+// in hand, before the next one. An idle worker holds no chunk, so the
+// record is appended here. Either way the call never waits on the
+// worker.
 func (m *Manager) CloseSession(id string) error {
 	sh := m.shardFor(id)
 	sh.mu.Lock()
 	s, ok := sh.sessions[id]
-	delete(sh.sessions, id)
-	if ok {
-		m.mu.Lock()
-		m.nOpen--
-		m.mu.Unlock()
-		m.sessOpen.Add(-1)
-	}
-	sh.mu.Unlock()
 	if !ok {
+		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrUnknownSession, id)
 	}
+	delete(sh.sessions, id)
+	m.mu.Lock()
+	m.nOpen--
+	m.mu.Unlock()
+	m.sessOpen.Add(-1)
 	m.counters.closed.Add(1)
-	m.journalClose(s)
+	if sh.busy {
+		sh.closing = append(sh.closing, s)
+	} else {
+		m.journalClose(s)
+	}
+	sh.mu.Unlock()
 	return nil
 }
 
@@ -943,9 +929,6 @@ const maxForwardJumpS = 5.0
 func (s *session) advanceClock(t float64) {
 	if !s.haveNow || t > s.now {
 		s.now, s.haveNow = t, true
-		if s.mirror {
-			s.clockBits.Store(math.Float64bits(t))
-		}
 	}
 }
 
@@ -960,31 +943,28 @@ func (m *Manager) admitTime(s *session, t float64) bool {
 	return true
 }
 
-// worker services one shard until Close, draining both ingest lanes:
-// the shared mutex ring and every registered SPSC producer ring.
+// worker services one shard's queue until Close.
 func (m *Manager) worker(sh *shard) {
 	defer m.wg.Done()
 	var (
 		chunk    []Item
 		resolved []*session
-		rings    []*spscRing
 	)
 	for {
 		sh.mu.Lock()
-		// Arm the wake handshake BEFORE reading the SPSC tails in
-		// spscPending: a producer publishes its tail first and reads
-		// sleeping second, so whichever side loses the race still
-		// observes the other's store (sequential consistency) and no
-		// wakeup is lost. The flag stays set across Wait wakeups —
-		// the loop condition re-reads the tails each pass.
-		sh.sleeping.Store(true)
-		for sh.count == 0 && !sh.closed && !sh.spscPending() {
+		// The previous chunk is fully delivered: close records deferred
+		// during it can follow its estimates now.
+		for i, s := range sh.closing {
+			m.journalClose(s)
+			sh.closing[i] = nil
+		}
+		sh.closing = sh.closing[:0]
+		for sh.count == 0 && !sh.closed {
 			// Idle: let Flush observe the empty, not-busy state.
 			sh.busy = false
 			sh.cond.Broadcast()
 			sh.cond.Wait()
 		}
-		sh.sleeping.Store(false)
 		if sh.closed {
 			// Hard close: abandon whatever is still queued. Every
 			// abandoned item is counted (DroppedClosed) so Total()
@@ -1005,10 +985,8 @@ func (m *Manager) worker(sh *shard) {
 			if n > 0 {
 				m.counters.droppedClosed.Add(uint64(n))
 			}
-			// Producer rings are sealed and swept under the same mutex
-			// hold, so no registration or publish can slip between the
-			// backlog abandon and the sweep.
-			m.sweepSPSC(sh)
+			// An exited worker defers no more close records.
+			sh.busy = false
 			sh.cond.Broadcast()
 			sh.mu.Unlock()
 			return
@@ -1017,10 +995,14 @@ func (m *Manager) worker(sh *shard) {
 		if n > drainChunk {
 			n = drainChunk
 		}
-		chunk = chunk[:0]
+		// Take a chunk and resolve its sessions in one lock hold; the
+		// registry mutates only on Open/CloseSession/reap, and pipeline
+		// processing below runs lock-free (worker-owned state only).
+		chunk, resolved = chunk[:0], resolved[:0]
 		for i := 0; i < n; i++ {
 			j := (sh.head + i) % len(sh.ring)
 			chunk = append(chunk, sh.ring[j])
+			resolved = append(resolved, sh.sessions[sh.ring[j].Session])
 			// Zero the drained slot: a stale copy left behind would pin
 			// its *csi.Frame (up to QueueLen per shard) until the slot
 			// happened to be overwritten.
@@ -1029,24 +1011,8 @@ func (m *Manager) worker(sh *shard) {
 		sh.head = (sh.head + n) % len(sh.ring)
 		sh.count -= n
 		sh.busy = true
-		rings = append(rings[:0], sh.prings...)
 		sh.mu.Unlock()
 
-		// Drain the producer rings lock-free: the worker is the only
-		// consumer, so this is two atomic loads and one store per ring.
-		for _, r := range rings {
-			chunk = r.drain(chunk, drainChunk)
-		}
-
-		// Resolve sessions for the whole chunk under one lock; the
-		// registry mutates only on Open/CloseSession/reap, and pipeline
-		// processing below runs lock-free (worker-owned state only).
-		resolved = resolved[:0]
-		sh.mu.Lock()
-		for i := range chunk {
-			resolved = append(resolved, sh.sessions[chunk[i].Session])
-		}
-		sh.mu.Unlock()
 		for i := range chunk {
 			m.process(sh, resolved[i], chunk[i])
 			m.afterProcess(sh, resolved[i])
@@ -1194,7 +1160,7 @@ func (m *Manager) Flush() {
 	}
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for (sh.count > 0 || sh.busy || sh.spscPending()) && !sh.closed {
+		for (sh.count > 0 || sh.busy) && !sh.closed {
 			sh.cond.Wait()
 		}
 		sh.mu.Unlock()

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -368,6 +369,35 @@ func TestSessionManagerStress(t *testing.T) {
 			}
 		}(p)
 	}
+	// One batch pusher shares the shards with the per-item pushers, on
+	// sessions of its own plus a corrupt kind and an unopened session
+	// (which the full queues may shed before it reaches a worker), so
+	// the accounting branches run concurrently with each other.
+	const batchItems = 2000
+	for i := 0; i < 2; i++ {
+		id := fmt.Sprintf("b%d", i)
+		if err := m.Open(id, f.profile, core.DefaultPipelineConfig()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		batch := make([]serve.Item, 0, 32)
+		for i := 0; i < batchItems; i++ {
+			ts := float64(i/2+1) * 0.002
+			batch = append(batch, serve.Item{Session: fmt.Sprintf("b%d", i%2), Kind: serve.KindPhase, Time: ts, Phi: math.Cos(ts * 5)})
+			if len(batch) == cap(batch) {
+				m.PushBatch(batch)
+				batch = batch[:0]
+			}
+		}
+		m.PushBatch(batch)
+		m.PushBatch([]serve.Item{
+			{Session: "b0", Kind: serve.ItemKind(200)},
+			{Session: "ghost", Kind: serve.KindPhase, Time: 1, Phi: 0},
+		})
+	}()
 	// Concurrent observers: snapshots and flushes must be safe while
 	// pushers run.
 	done := make(chan struct{})
@@ -387,8 +417,14 @@ func TestSessionManagerStress(t *testing.T) {
 	m.Flush()
 
 	snap := m.Counters().Snapshot()
-	if got, want := snap.Total(), uint64(nPushers*perPusher); got != want {
+	if got, want := snap.Total(), uint64(nPushers*perPusher+batchItems+2); got != want {
 		t.Fatalf("items counted in = %d, want %d", got, want)
+	}
+	// Flush returned with no pushers left, so the whole backlog has been
+	// processed or dropped: the identity holds exactly.
+	conservation(t, snap)
+	if snap.RejectedKind != 1 {
+		t.Fatalf("RejectedKind = %d, want 1", snap.RejectedKind)
 	}
 	if snap.DroppedStale > snap.Total() {
 		t.Fatalf("DroppedStale = %d exceeds total %d", snap.DroppedStale, snap.Total())

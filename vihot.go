@@ -31,11 +31,9 @@ import (
 	"net/http"
 
 	"vihot/internal/camera"
-	"vihot/internal/cluster"
 	"vihot/internal/core"
 	"vihot/internal/csi"
 	"vihot/internal/imu"
-	"vihot/internal/journal"
 	"vihot/internal/obs"
 	"vihot/internal/profilestore"
 	"vihot/internal/serve"
@@ -49,8 +47,6 @@ type (
 	Profile = core.Profile
 	// Profiler builds a Profile from streamed samples.
 	Profiler = core.Profiler
-	// SweepRecording is the raw material of one profiled position.
-	SweepRecording = core.SweepRecording
 	// Tracker is the run-time position-orientation joint tracker.
 	Tracker = core.Tracker
 	// TrackerConfig tunes the tracker (window, DTW band, etc.).
@@ -75,23 +71,12 @@ type (
 // Estimate sources.
 const (
 	SourceCSI    = core.SourceCSI
-	SourceFront  = core.SourceFront
-	SourceHeld   = core.SourceHeld
 	SourceCamera = core.SourceCamera
-	// SourceCoast marks estimates forecast forward by the serving
-	// engine while its CSI stream is starved (DESIGN.md §8).
-	SourceCoast = core.SourceCoast
 )
 
 // NewProfiler returns a streaming profiler targeting the given match
 // grid rate; 0 selects the default (100 Hz).
 func NewProfiler(matchRateHz float64) *Profiler { return core.NewProfiler(matchRateHz) }
-
-// BuildProfile processes raw sweep recordings into a matchable
-// profile.
-func BuildProfile(recs []SweepRecording, matchRateHz float64) (*Profile, error) {
-	return core.BuildProfile(recs, matchRateHz)
-}
 
 // DefaultTrackerConfig mirrors the paper's default system
 // configuration (100 ms window, [0.5W, 2W] DTW candidates).
@@ -133,8 +118,7 @@ func LoadProfile(path string) (*Profile, error) { return core.LoadProfile(path) 
 // Profile lifecycle at fleet scale: profiles are immutable once built
 // (see core.Profile's contract), carry a 64-bit content fingerprint
 // (Profile.Fingerprint), and resolve by driver/cabin key through a
-// ProfileStore — a sharded cache with pluggable eviction (LRU, LFU,
-// 2Q), optional doorkeeper admission, and singleflight deduplication
+// ProfileStore — a sharded LRU cache with singleflight deduplication
 // of concurrent cold loads, sharing one instance across every session
 // opened for the same driver (SessionManagerConfig.Profiles +
 // SessionManager.OpenByKey / OpenSessionsByKey, ProfileStore.GetMany
@@ -143,17 +127,9 @@ type (
 	// ProfileStore resolves profiles by key through a sharded cache
 	// with singleflight load deduplication.
 	ProfileStore = profilestore.Store
-	// ProfileStoreConfig tunes shard count, capacity, eviction policy,
-	// admission control, loader, and metrics registration.
+	// ProfileStoreConfig tunes shard count, capacity, loader, and
+	// metrics registration.
 	ProfileStoreConfig = profilestore.Config
-	// ProfilePolicy selects the store's eviction policy.
-	ProfilePolicy = profilestore.Policy
-	// ProfileLoader fetches a profile on a cache miss.
-	ProfileLoader = profilestore.Loader
-	// ProfileLoaderFunc adapts a function to ProfileLoader.
-	ProfileLoaderFunc = profilestore.LoaderFunc
-	// ProfileStoreStats is one observation of the store's counters.
-	ProfileStoreStats = profilestore.Stats
 	// ProfileDirLoader loads <dir>/<key>.profile files.
 	ProfileDirLoader = profilestore.DirLoader
 	// KeyedOpen names one session of a batch open: its session ID and
@@ -161,34 +137,12 @@ type (
 	KeyedOpen = serve.KeyedOpen
 )
 
-// Eviction policies for ProfileStoreConfig.Policy.
-const (
-	// ProfilePolicyLRU evicts the least recently used profile
-	// (default; the v1 store's exact behavior).
-	ProfilePolicyLRU = profilestore.PolicyLRU
-	// ProfilePolicyLFU evicts the least frequently used profile,
-	// least-recent among ties.
-	ProfilePolicyLFU = profilestore.PolicyLFU
-	// ProfilePolicy2Q runs the classic 2Q scheme: a FIFO probation
-	// queue, a protected main queue, and a ghost queue of recently
-	// evicted keys — scan-resistant without frequency counters.
-	ProfilePolicy2Q = profilestore.Policy2Q
-)
-
-// ParseProfilePolicy parses "lru", "lfu", or "2q" (also "twoq"); the
-// empty string selects the LRU default.
-func ParseProfilePolicy(s string) (ProfilePolicy, error) { return profilestore.ParsePolicy(s) }
-
 // NewProfileStore builds a profile store; see ProfileStoreConfig.
 func NewProfileStore(cfg ProfileStoreConfig) *ProfileStore { return profilestore.New(cfg) }
 
 // NewProfileDirLoader builds the flat-directory loader
 // (<dir>/<key>.profile, either on-disk encoding).
 func NewProfileDirLoader(dir string) *ProfileDirLoader { return profilestore.NewDirLoader(dir) }
-
-// ProfileQuality is the post-profiling fitness report: span, swing,
-// sample depth, and fingerprint-aliasing warnings.
-type ProfileQuality = core.QualityReport
 
 // NewSmoother returns an optional constant-velocity Kalman filter for
 // AR-grade smoothing of the estimate stream; see core.Smoother.
@@ -209,35 +163,6 @@ type (
 	// pooled-frame recycling (RecycleFrames). See DESIGN.md §11 for
 	// the lifecycle contract.
 	SessionManagerConfig = serve.Config
-	// SessionItem is one ingested sample addressed to a session.
-	SessionItem = serve.Item
-	// SessionCounters is a snapshot of a manager's traffic counters.
-	SessionCounters = serve.CounterSnapshot
-	// SessionHealth is a session's degradation state (DESIGN.md §8).
-	SessionHealth = serve.Health
-	// SessionHealthConfig tunes the degradation state machine's
-	// staleness thresholds and coasting cadence.
-	SessionHealthConfig = serve.HealthConfig
-)
-
-// Degradation states, in order of decreasing confidence. A session
-// moves down this ladder as its CSI stream starves (stream time, not
-// wall clock) and climbs back after sustained clean flow; query with
-// SessionManager.Health or subscribe via Config.OnHealth /
-// Config.OnEstimateHealth.
-const (
-	SessionHealthy  = serve.Healthy
-	SessionDegraded = serve.Degraded
-	SessionCoasting = serve.Coasting
-	SessionStale    = serve.Stale
-)
-
-// Session item kinds.
-const (
-	SessionItemPhase  = serve.KindPhase
-	SessionItemFrame  = serve.KindFrame
-	SessionItemIMU    = serve.KindIMU
-	SessionItemCamera = serve.KindCamera
 )
 
 // NewSessionManager starts a concurrent multi-driver tracking engine:
@@ -248,64 +173,6 @@ const (
 // exactly); Close stops immediately, accounting the abandoned
 // backlog. Both are idempotent.
 func NewSessionManager(cfg SessionManagerConfig) *SessionManager { return serve.New(cfg) }
-
-// Durable journaling: the crash-recoverable estimate/health journal
-// of internal/journal, re-exported because
-// SessionManagerConfig.Journal takes the writer. The manager appends
-// every estimate, health transition, reap, and close; a restart
-// replays the file (tolerating a torn tail from a crash mid-write)
-// back to the terminal per-session state. See DESIGN.md §13 for the
-// record format, the write-behind group-commit contract, and the
-// fsync policy.
-type (
-	// JournalWriter is the write-behind appender sessions journal
-	// through; the caller closes it after the manager has drained.
-	JournalWriter = journal.Writer
-	// JournalConfig tunes the group commit (batch size, stream-time
-	// interval, queue bound) and the fsync policy.
-	JournalConfig = journal.Config
-	// JournalRecord is one decoded journal record.
-	JournalRecord = journal.Record
-	// JournalStats is a snapshot of a writer's append/commit counters.
-	JournalStats = journal.Stats
-	// JournalRecoverResult is the state a journal replays back to.
-	JournalRecoverResult = journal.RecoverResult
-	// JournalSessionState is one session's recovered terminal state.
-	JournalSessionState = journal.SessionState
-	// JournalSyncPolicy selects when the journal fsyncs.
-	JournalSyncPolicy = journal.SyncPolicy
-)
-
-// Journal fsync policies.
-const (
-	JournalSyncBatch  = journal.SyncBatch
-	JournalSyncNone   = journal.SyncNone
-	JournalSyncAlways = journal.SyncAlways
-)
-
-// NewJournalWriter builds a write-behind journal over an arbitrary
-// writer (syncing too, when it implements journal.Syncer).
-func NewJournalWriter(cfg JournalConfig) (*JournalWriter, error) { return journal.New(cfg) }
-
-// OpenJournalFile opens (creating or appending to) a journal file the
-// writer owns; pair with RepairJournalFile on start after a crash.
-func OpenJournalFile(path string, cfg JournalConfig) (*JournalWriter, error) {
-	return journal.OpenFile(path, cfg)
-}
-
-// RecoverJournalFile replays a journal file to its terminal state,
-// tolerating a truncated or torn tail (reported in the result's
-// diagnostics, never as an error). A missing file recovers empty.
-func RecoverJournalFile(path string) (*JournalRecoverResult, error) {
-	return journal.RecoverFile(path)
-}
-
-// RepairJournalFile recovers a journal file and, if it ends in a torn
-// record, truncates it back to the last valid record so appending can
-// resume at a record boundary.
-func RepairJournalFile(path string) (*JournalRecoverResult, error) {
-	return journal.RepairFile(path)
-}
 
 // Observability: the zero-dependency metrics/tracing layer of
 // internal/obs, re-exported because SessionManagerConfig.Metrics and
@@ -318,10 +185,6 @@ type (
 	// StreamTracer records per-stage latency spans anchored at stream
 	// time into a fixed-capacity ring.
 	StreamTracer = obs.Tracer
-	// TraceSpan is one recorded stage interval.
-	TraceSpan = obs.Span
-	// TraceDump is a tracer snapshot (oldest span first).
-	TraceDump = obs.TraceDump
 )
 
 // NewMetricsRegistry builds an empty metrics registry.
@@ -343,30 +206,3 @@ func ServeObs(addr string, r *MetricsRegistry, tr *StreamTracer) (*http.Server, 
 	srv, _, err := obs.Serve(addr, r, tr)
 	return srv, err
 }
-
-// Distributed serving: the consistent-hash cluster tier of
-// internal/cluster, re-exported for embedding a multi-node fleet —
-// sessions hashed onto N member nodes, profiles replicated on open,
-// stream-time heartbeat failure detection, and journal-backed session
-// handoff on drain and failover (DESIGN.md §14).
-type (
-	// Cluster is the coordinator: ring, routing directory, failure
-	// detector, and handoff engine over N in-process member nodes.
-	Cluster = cluster.Cluster
-	// ClusterConfig sets the static membership and tunes heartbeats,
-	// estimate backflow, the per-node serving template, the handoff
-	// journal, and fault/observability hooks.
-	ClusterConfig = cluster.Config
-	// ClusterStats is a snapshot of the coordinator's ledger; Routed ==
-	// Delivered + the three attributed drop counters, exactly.
-	ClusterStats = cluster.Stats
-	// ClusterHandoffEvent is one session transfer (drain or failover).
-	ClusterHandoffEvent = cluster.HandoffEvent
-)
-
-// NewCluster starts a distributed serving tier over the given static
-// membership: open sessions with Open (the profile replicates to every
-// live member), feed them with Push/PushBatch, retire a member with
-// DrainNode, and let the stream-time heartbeat fail sessions over when
-// a member dies.
-func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
