@@ -76,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzScenarioConfig -fuzztime=10s ./internal/scenario
 	$(GO) test -fuzz=FuzzJournalDecode -fuzztime=10s ./internal/journal
 	$(GO) test -fuzz=FuzzClusterDecode -fuzztime=10s ./internal/cluster
+	$(GO) test -fuzz=FuzzSubsequence -fuzztime=10s ./internal/dtw
 
 # Observability overhead benchmark: serving throughput with obs off vs
 # metrics vs metrics+trace (DESIGN.md §9's overhead budget, measured).

@@ -467,7 +467,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 		bestPos    = -1
 		anyBest    dtw.Match
 		anyBestPos = -1
-		curDist    = math.Inf(1) // this scan's distance for the held position
+		cur        = dtw.Match{Dist: math.Inf(1)} // this scan's match for the held position
 	)
 	for _, pos := range candidates {
 		// Recentre the query with this position's mean phase so query
@@ -508,7 +508,7 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 			}
 		}
 		if pos == tk.posIdx {
-			curDist = match.Dist
+			cur = match
 		}
 		if consistent && (bestPos < 0 || match.Dist < best.Dist) {
 			best, bestPos = match, pos
@@ -527,26 +527,10 @@ func (tk *Tracker) estimate(t float64) (Estimate, error) {
 	// re-scan therefore requires a clear margin over the held
 	// position, not a photo finish.
 	const switchMargin = 0.7
-	if rescan && bestPos != tk.posIdx && !math.IsInf(curDist, 1) &&
-		best.Dist > switchMargin*curDist {
-		// Not convincingly better: keep the current lock. Reuse the
-		// current position's match by re-running the single-candidate
-		// path cheaply next time; for this estimate, fall back to the
-		// held position's own match when it was computed.
-		bestPos = tk.posIdx
-		// Recompute this position's match fields from the scan: the
-		// candidates loop recorded only the distance, so rerun once.
-		mu := tk.means[bestPos]
-		tk.centeredQ = tk.centeredQ[:0]
-		for _, v := range tk.query {
-			tk.centeredQ = append(tk.centeredQ, geom.PhaseDiff(v, mu))
-		}
-		if m, err := tk.matcher.Subsequence(
-			tk.centeredQ, tk.centered[bestPos], tk.lengths, tk.cfg.Stride,
-			dtw.Options{Window: tk.cfg.DTWBand, Circular: true},
-		); err == nil {
-			best = m
-		}
+	if rescan && bestPos != tk.posIdx && !math.IsInf(cur.Dist, 1) &&
+		best.Dist > switchMargin*cur.Dist {
+		// Not convincingly better: keep the current lock and its match.
+		best, bestPos = cur, tk.posIdx
 	}
 	tk.posIdx = bestPos
 	tk.posLocked = true

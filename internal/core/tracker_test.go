@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"vihot/internal/dtw"
 	"vihot/internal/geom"
 	"vihot/internal/stats"
 )
@@ -295,5 +298,78 @@ func TestSourceString(t *testing.T) {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q", int(s), s.String())
 		}
+	}
+}
+
+// TestTrackerRescanHoldKeepsHeldMatch drives the rescan branch in
+// which another position wins but not by switchMargin, so the lock is
+// held: the estimate must carry the held position's own match from
+// the scan (no second search), and the estimate stream must be
+// unchanged — its digest is pinned from the version that re-ran the
+// search for the held position.
+func TestTrackerRescanHoldKeepsHeldMatch(t *testing.T) {
+	tk := newTestTracker(t, 4, DefaultConfig())
+	// Lock position 2, then move on a curve offset 0.27 rad toward
+	// position 3's fingerprint: every rescan finds 3 slightly closer
+	// (about 0.23 vs 0.27), short of the 0.7 switch margin.
+	base := float64(2)*0.5 - 1
+	for ts := 0.0; ts < 3; ts += 0.002 {
+		tk.Push(ts, base)
+	}
+	opt := dtw.Options{Window: tk.cfg.DTWBand, Circular: true}
+	matchAt := func(pos int) dtw.Match {
+		q := make([]float64, len(tk.query))
+		for i, v := range tk.query {
+			q[i] = geom.PhaseDiff(v, tk.means[pos])
+		}
+		m, err := dtw.NewMatcher(0).Subsequence(q, tk.centered[pos], tk.lengths, tk.cfg.Stride, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	digest := fnv.New64a()
+	holds := 0
+	for ts := 3.0; ts < 13; ts += 0.002 {
+		theta := 80 * math.Sin(2*math.Pi*(ts-3)/4)
+		phi := base + 0.27 + 0.8*math.Sin(theta*math.Pi/180)
+		heldPos, rescanT := tk.posIdx, tk.nextRescanT
+		est, ok := tk.Push(ts, phi)
+		if !ok {
+			continue
+		}
+		for _, v := range []uint64{math.Float64bits(est.Time), math.Float64bits(est.Yaw),
+			uint64(est.Source), uint64(est.Position), math.Float64bits(est.MatchDist)} {
+			_ = binary.Write(digest, binary.LittleEndian, v)
+		}
+		if est.Source != SourceCSI && est.Source != SourceHeld {
+			continue
+		}
+		own := matchAt(est.Position)
+		if own.Dist != est.MatchDist || own.End() != est.matchEnd || own.Length != est.matchLen {
+			t.Fatalf("t=%.3f pos %d: estimate carries match (%v, end %d, len %d), position's own is %+v",
+				ts, est.Position, est.MatchDist, est.matchEnd, est.matchLen, own)
+		}
+		if tk.nextRescanT == rescanT {
+			continue // no rescan at this estimate
+		}
+		winner, winPos := dtw.Match{}, -1
+		for pos := range tk.profile.Positions {
+			if m := matchAt(pos); winPos < 0 || m.Dist < winner.Dist {
+				winner, winPos = m, pos
+			}
+		}
+		if winPos != heldPos && winner.Dist > 0.7*matchAt(heldPos).Dist {
+			holds++
+			if est.Position != heldPos {
+				t.Fatalf("t=%.3f: rescan short of the margin switched %d → %d", ts, heldPos, est.Position)
+			}
+		}
+	}
+	if holds == 0 {
+		t.Fatal("stream never exercised the rescan-hold branch")
+	}
+	if got, want := digest.Sum64(), uint64(0x5b29b76416017c3); got != want {
+		t.Fatalf("estimate stream digest %#x, want %#x (holds=%d)", got, want, holds)
 	}
 }

@@ -280,8 +280,9 @@ func BenchmarkDistanceBanded(b *testing.B) {
 }
 
 // BenchmarkSubsequenceScan is the tracker-shaped hot path: one query
-// window scanned over a profile at every candidate length, with the
-// abandon threshold tightening as matches improve.
+// window scanned over a profile at every candidate length through the
+// pruning cascade. It reports DP cells per search and the share of
+// candidates pruned before DTW.
 func BenchmarkSubsequenceScan(b *testing.B) {
 	profile := randWalk(5, 1500)
 	query := append([]float64(nil), profile[700:750]...)
@@ -294,4 +295,7 @@ func BenchmarkSubsequenceScan(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	st := m.Stats()
+	b.ReportMetric(float64(st.Cells)/float64(b.N), "cells/op")
+	b.ReportMetric(float64(st.CornerPruned+st.KeoghPruned)/float64(st.Candidates), "pruned/cand")
 }
